@@ -1,7 +1,12 @@
-"""Dataflow execution: gather-matmul-scatter and fetch-on-demand.
+"""Dataflow execution: gather-matmul-scatter, fetch-on-demand, pooling.
 
 Numerics here are exact NumPy; latency comes from the transaction model
 (:mod:`repro.gpu.memory`) and the GEMM model (:mod:`repro.gpu.gemm`).
+Each dataflow has a pricing part (``price_*``: every record and
+cost-side metric, read off the map, plan, widths and dtype) and a
+numerics part; the full ``execute_*`` path drives the numerics through
+the same pricing code, and a price-only context calls the pricing part
+alone.
 
 Access-order modeling (Figure 9).  Each movement kernel has a *point
 side* (rows of the feature tensors, indexed by the map) and a *buffer
@@ -222,6 +227,147 @@ def _movement_dtype(dtype: DType, side: str) -> DType:
     return dtype
 
 
+def price_gather_matmul_scatter(
+    kmap: KernelMap,
+    plan: GroupingPlan,
+    c_in: int,
+    c_out: int,
+    cfg: MovementConfig,
+    device: GPUSpec,
+    profile: Profile,
+    skip_center: bool = True,
+    numerics: "_GatherMatmulScatter | None" = None,
+) -> None:
+    """Price one sparse convolution via Algorithm 2: the pricing part.
+
+    Logs every record of the layer (center ``mm``, gather, one matmul
+    record per plan group, scatter) and publishes the cost-side metrics
+    (``gemm.*``, traffic).  Nothing here reads a feature value: the
+    records depend only on the map, the plan, the channel widths and the
+    dtype.  A price-only context calls this alone; the full path
+    (:func:`execute_gather_matmul_scatter`) passes its ``numerics``,
+    whose arithmetic for each matmul step runs just before that step's
+    record is logged — so a fault detected mid-layer leaves the records
+    of exactly the steps that completed.
+    """
+    plan.validate(kmap.volume, kmap.center_index if skip_center else None)
+
+    # -- center offset: direct mm, no data movement -------------------------
+    center = kmap.center_index
+    if skip_center and center is not None and len(kmap.in_indices[center]):
+        if numerics is not None:
+            numerics.center(center)
+        cost = mm_cost(len(kmap.in_indices[center]), c_in, c_out, cfg.dtype, device)
+        record_gemm_cost(cost, "mm")
+        with profile.span("matmul"):
+            profile.log(
+                "matmul.center",
+                "matmul",
+                cost.time,
+                bytes_moved=cost.bytes_moved,
+                flops=cost.flops,
+                launches=cost.launches,
+            )
+
+    # -- movement pricing (the numerics do the actual indexing) -------------
+    with profile.span("gather"):
+        profile.add(gather_record(kmap, c_in, cfg, device, skip_center, emit=True))
+
+    # -- grouped matmul ------------------------------------------------------
+    with profile.span("matmul"):
+        for gi, group in enumerate(plan.groups):
+            sizes = [len(kmap.in_indices[n]) for n in group.members]
+            if numerics is not None:
+                numerics.group(group, sizes)
+            if group.use_bmm:
+                cost = bmm_cost(sizes, c_in, c_out, cfg.dtype, device)
+                record_gemm_cost(cost, "bmm")
+            else:
+                cost = sequential_cost(sizes, c_in, c_out, cfg.dtype, device)
+                record_gemm_cost(cost, "mm")
+            profile.log(
+                f"matmul.group{gi}",
+                "matmul",
+                cost.time,
+                bytes_moved=cost.bytes_moved,
+                flops=cost.flops,
+                launches=cost.launches,
+            )
+
+    with profile.span("scatter"):
+        profile.add(scatter_record(kmap, c_out, cfg, device, skip_center, emit=True))
+
+
+class _GatherMatmulScatter:
+    """The numerics part of Algorithm 2: cast, gather, GEMM, scatter.
+
+    :func:`price_gather_matmul_scatter` drives it one matmul step at a
+    time; :attr:`acc` holds the ``(N_out, C_out)`` accumulator.
+    """
+
+    def __init__(self, x, w, kmap: KernelMap, c_out: int, exact_bmm: bool, integrity):
+        self.x, self.w, self.kmap = x, w, kmap
+        self.exact_bmm = exact_bmm
+        self.integrity = integrity
+        self.acc = np.zeros((kmap.n_out, c_out), dtype=np.float32)
+
+    def center(self, n: int) -> None:
+        x, w, kmap, integrity = self.x, self.w, self.kmap, self.integrity
+        ci, co = kmap.in_indices[n], kmap.out_indices[n]
+        partial = (x[ci] @ w[n]).astype(np.float32)
+        if integrity is not None:
+            src = integrity.source_checksum(x, ci)
+            integrity.check_matmul(partial, src, w[n], len(ci), "matmul.center")
+            integrity.absorb(partial)
+        # within one offset each output index appears at most once
+        # (p = s*q + delta is injective in q), so plain indexed add is safe
+        self.acc[co] += partial
+
+    def group(self, group, sizes: list) -> None:
+        x, w, kmap, integrity = self.x, self.w, self.kmap, self.integrity
+        acc = self.acc
+        if group.use_bmm and self.exact_bmm:
+            # materialize the padded batch exactly as the GPU kernel would
+            m_pad = max(sizes)
+            batch = np.zeros((len(group.members), m_pad, x.shape[1]), dtype=x.dtype)
+            for bi, n in enumerate(group.members):
+                batch[bi, : sizes[bi]] = x[kmap.in_indices[n]]
+                # fault-injection site: flips in the staged batch,
+                # restricted to the unpadded rows — a hit in a
+                # zero-padding row is sliced off before scatter and
+                # would make the shot undetectable by construction
+                maybe_bitflip_features(batch[bi, : sizes[bi]], site=f"gather.o{n}")
+            stacked = np.stack([w[n] for n in group.members])
+            partial = np.matmul(batch, stacked).astype(np.float32)
+            for bi, n in enumerate(group.members):
+                pm = partial[bi, : sizes[bi]]
+                if integrity is not None:
+                    idx = kmap.in_indices[n]
+                    src = integrity.source_checksum(x, idx)
+                    integrity.check_buffer(
+                        batch[bi, : sizes[bi]], src, f"gather.o{n}"
+                    )
+                    integrity.check_matmul(pm, src, w[n], sizes[bi], f"matmul.o{n}")
+                    integrity.absorb(pm)
+                acc[kmap.out_indices[n]] += pm
+            return
+        # zero-padding cannot change the products, so the per-member
+        # path is numerically identical to bmm and much faster here
+        for n in group.members:
+            idx = kmap.in_indices[n]
+            gathered = x[idx]
+            # fault-injection site: flips in the staged gather rows
+            maybe_bitflip_features(gathered, site=f"gather.o{n}")
+            if integrity is not None:
+                src = integrity.source_checksum(x, idx)
+                integrity.check_buffer(gathered, src, f"gather.o{n}")
+            partial = (gathered @ w[n]).astype(np.float32)
+            if integrity is not None:
+                integrity.check_matmul(partial, src, w[n], len(idx), f"matmul.o{n}")
+                integrity.absorb(partial)
+            acc[kmap.out_indices[n]] += partial
+
+
 def execute_gather_matmul_scatter(
     feats: np.ndarray,
     weights: np.ndarray,
@@ -235,6 +381,9 @@ def execute_gather_matmul_scatter(
     integrity=None,
 ) -> np.ndarray:
     """Run one sparse convolution via Algorithm 2 with a grouping plan.
+
+    The records come from :func:`price_gather_matmul_scatter`; this adds
+    the arithmetic.
 
     Args:
         feats: ``(N_in, C_in)`` input features.
@@ -270,7 +419,6 @@ def execute_gather_matmul_scatter(
         raise ValueError(
             f"feats shape {feats.shape} does not match (n_in={kmap.n_in}, c_in={c_in})"
         )
-    plan.validate(kmap.volume, kmap.center_index if skip_center else None)
 
     x = _cast(feats, cfg.dtype)
     w = _cast(weights, cfg.dtype)
@@ -281,111 +429,16 @@ def execute_gather_matmul_scatter(
     # fault-injection site: weight buffer flips *after* the golden
     # checksum (GEMM checksums agree with it; only the sentinel sees it)
     maybe_bitflip_weights(w, site=f"weights.v{kmap.volume}")
-    acc = np.zeros((kmap.n_out, c_out), dtype=np.float32)
-
-    # -- center offset: direct mm, no data movement -------------------------
-    center = kmap.center_index
-    if skip_center and center is not None and len(kmap.in_indices[center]):
-        ci, co = kmap.in_indices[center], kmap.out_indices[center]
-        partial = (x[ci] @ w[center]).astype(np.float32)
-        if integrity is not None:
-            src = integrity.source_checksum(x, ci)
-            integrity.check_matmul(partial, src, w[center], len(ci), "matmul.center")
-            integrity.absorb(partial)
-        # within one offset each output index appears at most once
-        # (p = s*q + delta is injective in q), so plain indexed add is safe
-        acc[co] += partial
-        cost = mm_cost(len(ci), c_in, c_out, cfg.dtype, device)
-        record_gemm_cost(cost, "mm")
-        with profile.span("matmul"):
-            profile.log(
-                "matmul.center",
-                "matmul",
-                cost.time,
-                bytes_moved=cost.bytes_moved,
-                flops=cost.flops,
-                launches=cost.launches,
-            )
-
-    # -- movement pricing (numerics below do the actual indexing) -----------
-    with profile.span("gather"):
-        profile.add(gather_record(kmap, c_in, cfg, device, skip_center, emit=True))
-
-    # -- grouped matmul ------------------------------------------------------
-    with profile.span("matmul"):
-        for gi, group in enumerate(plan.groups):
-            sizes = [len(kmap.in_indices[n]) for n in group.members]
-            if group.use_bmm and exact_bmm:
-                # materialize the padded batch exactly as the GPU kernel would
-                m_pad = max(sizes)
-                batch = np.zeros((len(group.members), m_pad, c_in), dtype=x.dtype)
-                for bi, n in enumerate(group.members):
-                    batch[bi, : sizes[bi]] = x[kmap.in_indices[n]]
-                    # fault-injection site: flips in the staged batch,
-                    # restricted to the unpadded rows — a hit in a
-                    # zero-padding row is sliced off before scatter and
-                    # would make the shot undetectable by construction
-                    maybe_bitflip_features(
-                        batch[bi, : sizes[bi]], site=f"gather.o{n}"
-                    )
-                stacked = np.stack([w[n] for n in group.members])
-                partial = np.matmul(batch, stacked).astype(np.float32)
-                for bi, n in enumerate(group.members):
-                    pm = partial[bi, : sizes[bi]]
-                    if integrity is not None:
-                        idx = kmap.in_indices[n]
-                        src = integrity.source_checksum(x, idx)
-                        integrity.check_buffer(
-                            batch[bi, : sizes[bi]], src, f"gather.o{n}"
-                        )
-                        integrity.check_matmul(
-                            pm, src, w[n], sizes[bi], f"matmul.o{n}"
-                        )
-                        integrity.absorb(pm)
-                    acc[kmap.out_indices[n]] += pm
-            else:
-                # zero-padding cannot change the products, so the per-member
-                # path is numerically identical to bmm and much faster here
-                for n in group.members:
-                    idx = kmap.in_indices[n]
-                    gathered = x[idx]
-                    # fault-injection site: flips in the staged gather rows
-                    maybe_bitflip_features(gathered, site=f"gather.o{n}")
-                    if integrity is not None:
-                        src = integrity.source_checksum(x, idx)
-                        integrity.check_buffer(gathered, src, f"gather.o{n}")
-                    partial = (gathered @ w[n]).astype(np.float32)
-                    if integrity is not None:
-                        integrity.check_matmul(
-                            partial, src, w[n], len(idx), f"matmul.o{n}"
-                        )
-                        integrity.absorb(partial)
-                    acc[kmap.out_indices[n]] += partial
-            if group.use_bmm:
-                cost = bmm_cost(sizes, c_in, c_out, cfg.dtype, device)
-                record_gemm_cost(cost, "bmm")
-            else:
-                cost = sequential_cost(sizes, c_in, c_out, cfg.dtype, device)
-                record_gemm_cost(cost, "mm")
-            profile.log(
-                f"matmul.group{gi}",
-                "matmul",
-                cost.time,
-                bytes_moved=cost.bytes_moved,
-                flops=cost.flops,
-                launches=cost.launches,
-            )
-
+    numerics = _GatherMatmulScatter(x, w, kmap, c_out, exact_bmm, integrity)
+    price_gather_matmul_scatter(
+        kmap, plan, c_in, c_out, cfg, device, profile, skip_center, numerics
+    )
+    acc = numerics.acc
     # fault-injection site: reduced-precision accumulator overflow
     # (no-op at FP32 — the ladder's fp32 rung is a genuine fix)
     maybe_inject_matmul_nan(acc, cfg.dtype)
     # fault-injection site: flips in the scatter accumulator
     maybe_bitflip_features(acc, site="scatter.out")
-
-    with profile.span("scatter"):
-        profile.add(
-            scatter_record(kmap, c_out, cfg, device, skip_center, emit=True)
-        )
     if integrity is not None:
         integrity.check_output(acc, "scatter.out")
         integrity.verify_weights(w, "weights")
@@ -428,6 +481,44 @@ def fetch_on_demand_cost(
     )
 
 
+def price_fetch_on_demand(
+    kmap: KernelMap,
+    c_in: int,
+    c_out: int,
+    dtype: DType,
+    device: GPUSpec,
+    profile: Profile,
+    numerics=None,
+) -> None:
+    """Price the fetch-on-demand dataflow: one record per non-empty
+    offset, plus the ``dataflow.fetch_on_demand.*`` counters.
+
+    The pricing part of :func:`execute_fetch_on_demand`, which passes
+    ``numerics(n)`` to run each offset's arithmetic just before its
+    record is logged (as in :func:`price_gather_matmul_scatter`).
+    """
+    reg = get_registry()
+    with profile.span("matmul", dataflow="fetch_on_demand"):
+        for n in range(kmap.volume):
+            m = len(kmap.in_indices[n])
+            if not m:
+                continue
+            if numerics is not None:
+                numerics(n)
+            t, nbytes, flops = fetch_on_demand_offset_cost(
+                m, c_in, c_out, dtype, device
+            )
+            reg.counter("dataflow.fetch_on_demand.launches").inc()
+            reg.counter("dataflow.fetch_on_demand.flops").inc(flops)
+            profile.log(
+                f"fetch_on_demand.{n}",
+                "matmul",
+                t,
+                bytes_moved=nbytes,
+                flops=flops,
+            )
+
+
 def execute_fetch_on_demand(
     feats: np.ndarray,
     weights: np.ndarray,
@@ -445,7 +536,8 @@ def execute_fetch_on_demand(
     buffer round-trip) but runs the math as fragmented matrix-vector
     work — so it wins on *small* workloads (where the tiled GEMM is
     occupancy-bound anyway) and loses on large ones, exactly the
-    Section 5.2 observation about 1-frame nuScenes models.
+    Section 5.2 observation about 1-frame nuScenes models.  The records
+    come from :func:`price_fetch_on_demand`.
     """
     c_in, c_out = weights.shape[1], weights.shape[2]
     x = _cast(feats, dtype)
@@ -455,36 +547,63 @@ def execute_fetch_on_demand(
     # fault-injection site: post-checksum weight-buffer flips
     maybe_bitflip_weights(w, site="fetch_on_demand.weights")
     acc = np.zeros((kmap.n_out, c_out), dtype=np.float32)
-    reg = get_registry()
-    with profile.span("matmul", dataflow="fetch_on_demand"):
-        for n in range(kmap.volume):
-            idx = kmap.in_indices[n]
-            if not len(idx):
-                continue
-            partial = (x[idx] @ w[n]).astype(np.float32)
-            if integrity is not None:
-                src = integrity.source_checksum(x, idx)
-                integrity.check_matmul(
-                    partial, src, w[n], len(idx), f"fetch_on_demand.o{n}"
-                )
-                integrity.absorb(partial)
-            acc[kmap.out_indices[n]] += partial
-            t, nbytes, flops = fetch_on_demand_offset_cost(
-                len(idx), c_in, c_out, dtype, device
+
+    def offset(n: int) -> None:
+        idx = kmap.in_indices[n]
+        partial = (x[idx] @ w[n]).astype(np.float32)
+        if integrity is not None:
+            src = integrity.source_checksum(x, idx)
+            integrity.check_matmul(
+                partial, src, w[n], len(idx), f"fetch_on_demand.o{n}"
             )
-            reg.counter("dataflow.fetch_on_demand.launches").inc()
-            reg.counter("dataflow.fetch_on_demand.flops").inc(flops)
-            profile.log(
-                f"fetch_on_demand.{n}",
-                "matmul",
-                t,
-                bytes_moved=nbytes,
-                flops=flops,
-            )
+            integrity.absorb(partial)
+        acc[kmap.out_indices[n]] += partial
+
+    price_fetch_on_demand(kmap, c_in, c_out, dtype, device, profile, offset)
     # fault-injection site: flips in the atomic accumulator
     maybe_bitflip_features(acc, site="fetch_on_demand.out")
     if integrity is not None:
         integrity.check_output(acc, "fetch_on_demand.out")
         integrity.verify_weights(w, "fetch_on_demand.weights")
         integrity.finish(profile)
+    return acc
+
+
+def price_pooling(
+    kmap: KernelMap,
+    channels: int,
+    cfg: MovementConfig,
+    device: GPUSpec,
+    profile: Profile,
+) -> None:
+    """Price one sparse pooling layer: a gather and a scatter over the
+    whole map (no center shortcut) and no matmul."""
+    with profile.span("gather"):
+        profile.add(gather_record(kmap, channels, cfg, device, False, emit=True))
+    with profile.span("scatter"):
+        profile.add(scatter_record(kmap, channels, cfg, device, False, emit=True))
+
+
+def pool_features(feats: np.ndarray, kmap: KernelMap, mode: str) -> np.ndarray:
+    """The numerics of sparse pooling: reduce each output's window over
+    its *present* inputs (absent voxels are skipped, not zero-filled)."""
+    c = feats.shape[1]
+    if mode == "max":
+        acc = np.full((kmap.n_out, c), -np.inf, dtype=np.float32)
+    else:
+        acc = np.zeros((kmap.n_out, c), dtype=np.float32)
+        counts = np.zeros(kmap.n_out, dtype=np.int64)
+    for n in range(kmap.volume):
+        i, o = kmap.in_indices[n], kmap.out_indices[n]
+        if not len(i):
+            continue
+        if mode == "max":
+            np.maximum.at(acc, o, feats[i])
+        else:
+            acc[o] += feats[i]
+            counts[o] += 1
+    if mode == "max":
+        acc[np.isneginf(acc)] = 0.0
+    else:
+        acc[counts > 0] /= counts[counts > 0, None]
     return acc

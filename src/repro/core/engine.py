@@ -31,6 +31,10 @@ from repro.core.dataflow import (
     MovementConfig,
     execute_fetch_on_demand,
     execute_gather_matmul_scatter,
+    pool_features,
+    price_fetch_on_demand,
+    price_gather_matmul_scatter,
+    price_pooling,
 )
 from repro.core.grouping import make_plan, record_plan
 from repro.core.sparse_tensor import SparseTensor
@@ -57,6 +61,7 @@ from repro.robust.degrade import DEFAULT_LADDER, CircuitBreaker, RobustConfig
 from repro.robust.integrity import IntegrityChecker
 from repro.robust.errors import (
     FAULT_ERRORS,
+    ConfigError,
     DegradationExhaustedError,
     InputValidationError,
     KernelMapCorruptionError,
@@ -83,6 +88,12 @@ GRID_SLOT_BYTES = 8
 #: past this memory budget — mirroring the range-cropped spatial shapes
 #: real grid-based engines require.
 MAX_GRID_BYTES = 2 * 1024 * 1024 * 1024
+
+#: Spatial slack, in voxels per side, of every grid table: neighbor
+#: probes at kernel offsets stay inside the box.  The backend choice
+#: sizes the table with the same margin the build allocates, so a grid
+#: that passes the budget check can always be built.
+GRID_PROBE_MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -178,6 +189,19 @@ class ExecutionContext:
     maps across contexts (steady-state serving of temporally coherent
     streams); without one, every context builds its maps from scratch
     (the seed-exact cold path).
+
+    Passing a ``price_memo`` makes the context **price-only**: every
+    layer logs exactly the records the full path would, but the feature
+    arithmetic (cast, gather, GEMM, scatter, pooling) is skipped and
+    layer outputs are zero placeholders of the right shape.  Host-side
+    mapping work is shared through the memo, another
+    :class:`~repro.mapping.cache.MappingCache`: a memo hit replays the
+    *cold* records a fresh build would log, priced on this context's
+    device from the artifact's frozen bill, while ``mapcache`` keeps
+    modeling the device's warm (zero-cost) hits.  Fault detection needs
+    real values, so a price-only context refuses an engine with
+    ``config.robustness`` set (:class:`~repro.robust.errors.ConfigError`),
+    and the numerics' fault-injection sites never fire in it.
     """
 
     def __init__(
@@ -186,8 +210,14 @@ class ExecutionContext:
         device: GPUSpec = RTX_2080TI,
         profile: Profile | None = None,
         mapcache: MappingCache | None = None,
+        price_memo: MappingCache | None = None,
     ):
         self.engine = engine or TorchSparseEngine()
+        if price_memo is not None and self.engine.config.robustness is not None:
+            raise ConfigError(
+                "a price-only context cannot run the robustness layer: "
+                "fault detection needs real feature values"
+            )
         self.device = device
         self.profile = profile if profile is not None else Profile()
         if self.profile.tracer is None:
@@ -199,6 +229,8 @@ class ExecutionContext:
         self.metrics = get_registry()
         #: persistent content-addressed cache (None = cold path)
         self.mapcache = mapcache
+        #: host-side memo of cold mapping work (None = full execution)
+        self.price_memo = price_memo
         self.coords_at_stride: dict[int, np.ndarray] = {}
         self.index_at_stride: dict[int, CoordIndex] = {}
         self.kmap_cache: dict[object, KernelMap] = {}
@@ -218,6 +250,10 @@ class ExecutionContext:
         self.index_at_stride.clear()
         self.kmap_cache.clear()
         self.layer_workloads.clear()
+
+    @property
+    def price_only(self) -> bool:
+        return self.price_memo is not None
 
     def register_coords(self, stride: int, coords: np.ndarray) -> None:
         """Pin ``coords`` as *the* coordinate set of ``stride``.
@@ -278,7 +314,7 @@ class BaseEngine:
         if c.shape[0] == 0:
             return "hash"
         extent = c.max(axis=0) - c.min(axis=0) + 1
-        extent[1:] += 2  # probe margin
+        extent[1:] += 2 * GRID_PROBE_MARGIN
         volume = int(np.prod(extent))
         # Even a forced "grid" falls back to hash past the memory budget —
         # the paper notes SpConv itself needed such changes "to avoid OOM
@@ -293,21 +329,18 @@ class BaseEngine:
             else MAPPING_INSTR_BASELINE
         )
 
-    def _price_table(
+    def _price_accesses(
         self,
-        index: CoordIndex,
+        accesses: int,
+        backend: str,
         ctx: ExecutionContext,
         label: str,
         cfg: EngineConfig | None = None,
     ):
-        """Convert a table's access counters into mapping-stage records."""
-        stats = index.stats
-        slot = (
-            GRID_SLOT_BYTES
-            if index.table.__class__.__name__ == "GridTable"
-            else HASH_SLOT_BYTES
-        )
-        accesses = stats.build_accesses + stats.query_accesses
+        """Mapping-stage record of one frozen table bill: ``accesses``
+        slot accesses (a table build or a map search) on a ``backend``
+        table, priced on the context's device."""
+        slot = GRID_SLOT_BYTES if backend == "grid" else HASH_SLOT_BYTES
         t_mem = ctx.device.mem_time(accesses * slot, efficiency=0.5)
         t_instr = accesses * self._mapping_instr(cfg)
         ctx.profile.log(
@@ -316,9 +349,14 @@ class BaseEngine:
             max(t_mem, t_instr) + ctx.device.launch_overhead,
             bytes_moved=accesses * slot,
         )
-        # reset so later reuse of the same table is not double-billed
-        stats.build_accesses = 0
-        stats.query_accesses = 0
+
+    @staticmethod
+    def _shared(kmap: KernelMap) -> KernelMap:
+        """``kmap`` as stored in or served from a cache shared across
+        contexts: a private copy while a fault injector is armed, so
+        in-place corruption of a working copy never reaches the shared
+        entry (or another request through it)."""
+        return kmap.clone() if get_injector() is not None else kmap
 
     def _get_index(
         self,
@@ -333,8 +371,9 @@ class BaseEngine:
             return index
         ctx.metrics.counter("engine.cache.misses", cache="index").inc()
         backend = self._choose_backend(coords, cfg)
-        cache = ctx.mapcache
-        key = index_key(coords, backend) if cache is not None else None
+        cache, memo = ctx.mapcache, ctx.price_memo
+        shared = cache is not None or memo is not None
+        key = index_key(coords, backend) if shared else None
         if cache is not None:
             cached = cache.get(key)
             if cached is not None:
@@ -344,11 +383,20 @@ class BaseEngine:
         if backend == "grid":
             # fault-injection site: simulated grid allocation failure
             maybe_grid_oom(f"table.build.s{stride}.grid")
-        index = CoordIndex.build(
-            coords, backend=backend, margin=2, max_grid_bytes=MAX_GRID_BYTES
-        )
+        index = memo.get(key) if memo is not None else None
+        if index is None:
+            index = CoordIndex.build(
+                coords,
+                backend=backend,
+                margin=GRID_PROBE_MARGIN,
+                max_grid_bytes=MAX_GRID_BYTES,
+            )
+            if memo is not None:
+                memo.put(key, index, index_nbytes(index))
         ctx.index_at_stride[stride] = index
-        self._price_table(index, ctx, f"table.build.s{stride}.{backend}", cfg)
+        self._price_accesses(
+            index.build_accesses, backend, ctx, f"table.build.s{stride}.{backend}", cfg
+        )
         if cache is not None:
             cache.put(key, index, index_nbytes(index))
         return index
@@ -414,36 +462,42 @@ class BaseEngine:
             ctx.metrics.counter("engine.cache.hits", cache="kmap").inc()
             return kmap
         ctx.metrics.counter("engine.cache.misses", cache="kmap").inc()
-        cache = ctx.mapcache
+        cache, memo = ctx.mapcache, ctx.price_memo
         if cache is not None:
             cached = cache.get(key)
             if cached is not None:
-                if get_injector() is not None:
-                    # in-place fault injection must not reach the shared entry
-                    cached = cached.clone()
+                cached = self._shared(cached)
                 ctx.kmap_cache[key] = cached
                 with ctx.profile.span("mapping"):
                     ctx.profile.log(f"mapcache.hit.kmap.{label}", "mapping", 0.0)
                 return cached
         with ctx.profile.span("mapping"):
             index = self._get_index(in_stride, in_coords, ctx, cfg)
-            kmap = build_kmap(
-                in_coords,
-                index,
-                out_coords,
-                kernel_size,
-                stride=stride,
-                use_symmetry=use_symmetry,
+            kmap = memo.get(key) if memo is not None else None
+            if kmap is not None and kmap.search_backend == index.backend:
+                kmap = self._shared(kmap)
+            else:
+                kmap = build_kmap(
+                    in_coords,
+                    index,
+                    out_coords,
+                    kernel_size,
+                    stride=stride,
+                    use_symmetry=use_symmetry,
+                )
+                if memo is not None:
+                    memo.put(key, self._shared(kmap), kmap_nbytes(kmap))
+            self._price_accesses(
+                kmap.search_accesses,
+                kmap.search_backend,
+                ctx,
+                f"kmap.search.{label}",
+                cfg,
             )
-            self._price_table(index, ctx, f"kmap.search.{label}", cfg)
             self._price_map_write(kmap, ctx, f"kmap.write.{label}", cfg)
         ctx.kmap_cache[key] = kmap
         if cache is not None:
-            cache.put(
-                key,
-                kmap.clone() if get_injector() is not None else kmap,
-                kmap_nbytes(kmap),
-            )
+            cache.put(key, self._shared(kmap), kmap_nbytes(kmap))
         return kmap
 
     def _price_map_write(
@@ -492,8 +546,9 @@ class BaseEngine:
             ctx.metrics.counter("engine.cache.hits", cache="coords").inc()
             return cached
         ctx.metrics.counter("engine.cache.misses", cache="coords").inc()
-        cache = ctx.mapcache
-        key = coords_key(x.coords, kernel_size, stride) if cache is not None else None
+        cache, memo = ctx.mapcache, ctx.price_memo
+        shared = cache is not None or memo is not None
+        key = coords_key(x.coords, kernel_size, stride) if shared else None
         if cache is not None:
             hit = cache.get(key)
             if hit is not None:
@@ -503,7 +558,13 @@ class BaseEngine:
                     )
                 ctx.register_coords(out_stride, hit)
                 return hit
-        out_coords, ds_cost = downsample_coords(x.coords, kernel_size, stride)
+        # the memo keeps the coordinates with their cost (bytes, launches)
+        built = memo.get(key) if memo is not None else None
+        if built is None:
+            built = downsample_coords(x.coords, kernel_size, stride)
+            if memo is not None:
+                memo.put(key, built, coords_nbytes(built[0]))
+        out_coords, ds_cost = built
         with ctx.profile.span("mapping"):
             ctx.profile.log(
                 f"{label}.s{stride}",
@@ -872,6 +933,7 @@ class BaseEngine:
             )
         )
         integrity = self._make_integrity(ctx, layer_name, cfg)
+        c_in, c_out = weights.shape[1], weights.shape[2]
         mean_map = kmap.total / max(1, kmap.volume)
         if (
             cfg.fetch_on_demand_threshold > 0
@@ -879,6 +941,11 @@ class BaseEngine:
             and self._fetch_on_demand_wins(kmap, weights, ctx.device, cfg)
         ):
             ctx.metrics.counter("engine.dispatch", dataflow="fetch_on_demand").inc()
+            if ctx.price_only:
+                price_fetch_on_demand(
+                    kmap, c_in, c_out, cfg.dtype, ctx.device, ctx.profile
+                )
+                return _placeholder(kmap.n_out, c_out)
             return execute_fetch_on_demand(
                 feats,
                 weights,
@@ -912,6 +979,18 @@ class BaseEngine:
             s_threshold=s_thr if not math.isnan(s_thr) else math.inf,
         )
         record_plan(plan, kmap.sizes)
+        if ctx.price_only:
+            price_gather_matmul_scatter(
+                kmap,
+                plan,
+                c_in,
+                c_out,
+                cfg.movement,
+                ctx.device,
+                ctx.profile,
+                skip_center=skip_center,
+            )
+            return _placeholder(kmap.n_out, c_out)
         return execute_gather_matmul_scatter(
             feats,
             weights,
@@ -1000,39 +1079,11 @@ class BaseEngine:
             )
 
             c = x.num_channels
-            if mode == "max":
-                acc = np.full((kmap.n_out, c), -np.inf, dtype=np.float32)
+            if ctx.price_only:
+                acc = _placeholder(kmap.n_out, c)
             else:
-                acc = np.zeros((kmap.n_out, c), dtype=np.float32)
-                counts = np.zeros(kmap.n_out, dtype=np.int64)
-            for n in range(kmap.volume):
-                i, o = kmap.in_indices[n], kmap.out_indices[n]
-                if not len(i):
-                    continue
-                if mode == "max":
-                    np.maximum.at(acc, o, x.feats[i])
-                else:
-                    acc[o] += x.feats[i]
-                    counts[o] += 1
-            if mode == "max":
-                acc[np.isneginf(acc)] = 0.0
-            else:
-                acc[counts > 0] /= counts[counts > 0, None]
-
-            from repro.core.dataflow import gather_record, scatter_record
-
-            with ctx.profile.span("gather"):
-                ctx.profile.add(
-                    gather_record(
-                        kmap, c, self.config.movement, ctx.device, False, emit=True
-                    )
-                )
-            with ctx.profile.span("scatter"):
-                ctx.profile.add(
-                    scatter_record(
-                        kmap, c, self.config.movement, ctx.device, False, emit=True
-                    )
-                )
+                acc = pool_features(x.feats, kmap, mode)
+            price_pooling(kmap, c, self.config.movement, ctx.device, ctx.profile)
             return SparseTensor(out_coords, acc, stride=out_stride)
 
     def _fetch_on_demand_wins(
@@ -1089,6 +1140,11 @@ class BaseEngine:
                 bytes_moved=nbytes,
             )
         return x.replace_feats(feats)
+
+
+def _placeholder(n_out: int, channels: int) -> np.ndarray:
+    """Layer output of a price-only context: zeros of the right shape."""
+    return np.zeros((n_out, channels), dtype=np.float32)
 
 
 class TorchSparseEngine(BaseEngine):

@@ -6,6 +6,12 @@ query touches exactly one slot, so DRAM traffic per entry is minimal —
 the paper measures it 2.7x faster than a general hashmap — at the price
 of memory proportional to the box volume, which is why TorchSparse
 *chooses* between grid and hashmap per layer.
+
+The modeled GPU table is dense (``stats.table_bytes`` charges every
+slot), but the host keeps only the occupied slots: their raveled
+indices, sorted, next to their values.  A dense host array of a LiDAR
+scene's sparse box would cost about one resident page per inserted
+point.
 """
 
 from __future__ import annotations
@@ -42,15 +48,11 @@ class GridTable:
             raise ValueError("origin and shape must be length-4")
         if (self.shape <= 0).any():
             raise ValueError("shape entries must be positive")
-        volume = int(np.prod(self.shape))
-        # Stored as value+1 with 0 = empty so the backing array can be
-        # np.zeros: fresh zero pages are mapped lazily by the OS, which
-        # keeps huge mostly-empty grids cheap in host memory (the GPU
-        # being modeled pays for the full allocation — that is captured
-        # by table_bytes, not by this process's RSS).
-        self._values = np.zeros(volume, dtype=np.int64)
-        self._size = 0
-        self.stats.table_bytes = volume * 8
+        self._volume = int(np.prod(self.shape))
+        #: occupied slots (raveled indices, sorted) and their values
+        self._slots = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0, dtype=np.int64)
+        self.stats.table_bytes = self._volume * 8
         self.stats.max_probe_len = 1
 
     @classmethod
@@ -104,17 +106,28 @@ class GridTable:
         if (values < 0).any():
             raise ValueError("grid table values must be non-negative")
         idx = ravel_coords(coords, self.origin, self.shape)
-        newly = self._values[idx] == 0
-        # idx may repeat; count distinct new slots
-        new_slots = np.unique(idx[newly])
-        self._size += int(new_slots.shape[0])
-        self._values[idx] = values + 1
+        # idx may repeat: the last occurrence of each slot wins
+        order = np.argsort(idx, kind="stable")
+        idx, values = idx[order], values[order]
+        last = np.ones(idx.shape[0], dtype=bool)
+        last[:-1] = idx[1:] != idx[:-1]
+        idx, values = idx[last], values[last]
+        pos = np.searchsorted(self._slots, idx)
+        found = pos < self._slots.shape[0]
+        found[found] = self._slots[pos[found]] == idx[found]
+        self._values[pos[found]] = values[found]
+        new = ~found
+        if new.any():
+            slots = np.concatenate([self._slots, idx[new]])
+            merged = np.argsort(slots, kind="stable")
+            self._slots = slots[merged]
+            self._values = np.concatenate([self._values, values[new]])[merged]
         self.stats.build_accesses += coords.shape[0]
         reg = get_registry()
         reg.counter("table.accesses", backend="grid", op="build").inc(
             coords.shape[0]
         )
-        reg.gauge("table.load", backend="grid").set(self._size / self.volume)
+        reg.gauge("table.load", backend="grid").set(len(self) / self.volume)
 
     def lookup(self, coords: np.ndarray) -> np.ndarray:
         """Value per coordinate row, ``-1`` where absent or out of box."""
@@ -124,9 +137,13 @@ class GridTable:
         rel = coords - self.origin
         inside = ((rel >= 0) & (rel < self.shape)).all(axis=1)
         out = np.full(coords.shape[0], _EMPTY, dtype=np.int64)
-        if inside.any():
+        if inside.any() and self._slots.shape[0]:
             idx = ravel_coords(coords[inside], self.origin, self.shape)
-            out[inside] = self._values[idx] - 1
+            pos = np.minimum(
+                np.searchsorted(self._slots, idx), self._slots.shape[0] - 1
+            )
+            hit = self._slots[pos] == idx
+            out[inside] = np.where(hit, self._values[pos], _EMPTY)
         self.stats.query_accesses += coords.shape[0]
         get_registry().counter("table.accesses", backend="grid", op="query").inc(
             coords.shape[0]
@@ -138,9 +155,9 @@ class GridTable:
         return self.lookup(coords) != _EMPTY
 
     def __len__(self) -> int:
-        return self._size
+        return int(self._slots.shape[0])
 
     @property
     def volume(self) -> int:
         """Number of slots (the memory cost of collision freedom)."""
-        return int(self._values.shape[0])
+        return self._volume

@@ -228,10 +228,12 @@ class MappingCache:
     the engine does this whenever an injector is armed.
     """
 
-    def __init__(self, max_bytes: int = MAX_MAPCACHE_BYTES):
+    def __init__(self, max_bytes: int = MAX_MAPCACHE_BYTES, metric: str = "mapcache"):
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = int(max_bytes)
+        #: metric-name prefix of this instance's counters and gauges
+        self.metric = metric
         self._entries: OrderedDict = OrderedDict()  # key -> (value, nbytes)
         self._bytes = 0
         self._lock = threading.Lock()
@@ -264,8 +266,8 @@ class MappingCache:
 
     def _gauges(self) -> None:
         reg = get_registry()
-        reg.gauge("mapcache.bytes").set(float(self._bytes))
-        reg.gauge("mapcache.entries").set(float(len(self._entries)))
+        reg.gauge(f"{self.metric}.bytes").set(float(self._bytes))
+        reg.gauge(f"{self.metric}.entries").set(float(len(self._entries)))
 
     # -- the protocol -------------------------------------------------------
 
@@ -274,10 +276,10 @@ class MappingCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                get_registry().counter("mapcache.misses", kind=key.kind).inc()
+                get_registry().counter(f"{self.metric}.misses", kind=key.kind).inc()
                 return None
             self._entries.move_to_end(key)
-            get_registry().counter("mapcache.hits", kind=key.kind).inc()
+            get_registry().counter(f"{self.metric}.hits", kind=key.kind).inc()
             return entry[0]
 
     def put(self, key, value, nbytes: int) -> bool:
@@ -290,7 +292,7 @@ class MappingCache:
         reg = get_registry()
         with self._lock:
             if nbytes > self.max_bytes:
-                reg.counter("mapcache.evictions", reason="oversize").inc()
+                reg.counter(f"{self.metric}.evictions", reason="oversize").inc()
                 return False
             old = self._entries.pop(key, None)
             if old is not None:
@@ -300,7 +302,7 @@ class MappingCache:
             while self._bytes > self.max_bytes:
                 _, (_, victim_bytes) = self._entries.popitem(last=False)
                 self._bytes -= victim_bytes
-                reg.counter("mapcache.evictions", reason="lru").inc()
+                reg.counter(f"{self.metric}.evictions", reason="lru").inc()
             self._gauges()
             return True
 
@@ -325,7 +327,7 @@ class MappingCache:
                 _, nbytes = self._entries.pop(key)
                 self._bytes -= nbytes
             if victims:
-                get_registry().counter("mapcache.purged").inc(len(victims))
+                get_registry().counter(f"{self.metric}.purged").inc(len(victims))
                 self._gauges()
             return len(victims)
 

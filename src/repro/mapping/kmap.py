@@ -35,10 +35,17 @@ from repro.hashmap.hash_table import HashTable
 
 
 class CoordIndex:
-    """Uniform ``coords -> row index`` adapter over both table backends."""
+    """Uniform ``coords -> row index`` adapter over both table backends.
+
+    ``build_accesses`` freezes the table's build bill (slot accesses of
+    its construction) when the index is created, so the build can be
+    priced again on any device without reading the table's live
+    counters, which keep growing with every later query.
+    """
 
     def __init__(self, table: HashTable | GridTable):
         self.table = table
+        self.build_accesses = int(table.stats.build_accesses)
 
     @classmethod
     def build(
@@ -76,6 +83,10 @@ class CoordIndex:
     @property
     def stats(self):
         return self.table.stats
+
+    @property
+    def backend(self) -> str:
+        return "grid" if isinstance(self.table, GridTable) else "hash"
 
 
 def pack_coords_clipped(coords: np.ndarray) -> np.ndarray:
@@ -123,6 +134,11 @@ class KernelMap:
     #: they still cost a map read + write, which is why the paper's
     #: symmetry optimization only buys ~1.1x end to end (Section 6.3)
     mirrored_entries: int = 0
+    #: frozen search bill: table slot accesses of the probes, and the
+    #: backend of the table they ran against (``None`` when the map was
+    #: not searched, e.g. a transposed or decoded map)
+    search_accesses: int = 0
+    search_backend: str | None = None
 
     def __post_init__(self) -> None:
         self.kernel_size = normalize(self.kernel_size)
@@ -174,6 +190,8 @@ class KernelMap:
             out_indices=[a.copy() for a in self.out_indices],
             queries_issued=self.queries_issued,
             mirrored_entries=self.mirrored_entries,
+            search_accesses=self.search_accesses,
+            search_backend=self.search_backend,
         )
 
     def transposed(self) -> "KernelMap":
@@ -246,6 +264,7 @@ def build_kmap(
     ins: list = [None] * vol
     outs: list = [None] * vol
     queries = 0
+    accesses_before = index.stats.query_accesses
     mirrored = 0
 
     symmetric_ok = use_symmetry and stride == 1 and is_all_odd(kernel_size)
@@ -283,5 +302,7 @@ def build_kmap(
         out_indices=outs,
         queries_issued=queries,
         mirrored_entries=mirrored,
+        search_accesses=int(index.stats.query_accesses - accesses_before),
+        search_backend=index.backend,
     )
     return kmap

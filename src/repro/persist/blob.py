@@ -186,10 +186,12 @@ def _encode_index(index) -> bytes:
         return _pack("index", meta, [table._keys, table._values])
     meta = {
         "backend": "grid",
-        "size": int(table._size),
+        "size": len(table),
         "stats": _stats_meta(table.stats),
     }
-    return _pack("index", meta, [table.origin, table.shape, table._values])
+    return _pack(
+        "index", meta, [table.origin, table.shape, table._slots, table._values]
+    )
 
 
 def _decode_index(meta: dict, arrays: list):
@@ -214,21 +216,27 @@ def _decode_index(meta: dict, arrays: list):
         table.stats = stats
         return CoordIndex(table)
     if backend == "grid":
-        if len(arrays) != 3:
-            raise StoreCorruptionError("grid-index blob needs 3 arrays")
-        origin, shape, values = arrays
+        if len(arrays) != 4:
+            raise StoreCorruptionError("grid-index blob needs 4 arrays")
+        origin, shape, slots, values = arrays
         try:
             table = GridTable(origin=origin, shape=shape)
         except ValueError as e:
             raise StoreCorruptionError(
                 f"grid-index blob bounding box is malformed: {e}"
             ) from e
-        if values.shape != (table.volume,):
+        slots = slots.astype(np.int64)
+        if (
+            slots.shape != values.shape
+            or slots.shape != (int(meta["size"]),)
+            or (slots.size and (slots[0] < 0 or slots[-1] >= table.volume))
+            or (np.diff(slots) <= 0).any()
+        ):
             raise StoreCorruptionError(
-                "grid-index blob slot array disagrees with box volume"
+                "grid-index blob slot arrays disagree with the box or its size"
             )
+        table._slots = slots
         table._values = values.astype(np.int64)
-        table._size = int(meta["size"])
         table.stats = stats
         return CoordIndex(table)
     raise StoreCorruptionError(f"index blob has unknown backend {backend!r}")

@@ -3,17 +3,30 @@
 A :class:`DeviceWorker` is one fleet slot: a :class:`GPUSpec` plus the
 minimal serving state (busy flag, accumulated busy time, completion
 count).  Service times come from the :class:`LatencyOracle`, which runs
-each (zoo model, device spec) pair through the engine **once** and
-memoizes the modeled latency — the simulation then reuses that base
+each ``(model, spec, n, warm, quality)`` key through the engine **once**
+and memoizes the modeled latency — the simulation then reuses that base
 latency for every request, perturbed per attempt by stall faults and
 log-normal noise.
+
+The oracle's forwards are **price-only**: modeled latency depends only
+on kernel maps, shapes, grouping plans and dtypes, so the oracle builds
+its contexts with a ``price_memo`` and the engine logs exactly the
+records of a full forward while skipping the feature arithmetic.  One
+memo per oracle shares the host-side mapping work (downsampled
+coordinates, tables, kernel maps) across device specs, dtypes,
+temperatures and QoS rungs; a memo hit replays the cold records on the
+current device.  The per-spec :class:`~repro.mapping.cache.MappingCache`
+still models what a device has cached (warm frames price their mapping
+at zero).  Contexts are built through this module's
+``ExecutionContext`` name, so a caller can wrap it to observe every
+pricing forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.engine import BaseEngine, ExecutionContext
+from repro.core.engine import MAX_GRID_BYTES, BaseEngine, ExecutionContext
 from repro.datasets.collate import batch_collate
 from repro.datasets.voxelize import coarsen_sparse_tensor
 from repro.gpu.device import GPUSpec
@@ -27,6 +40,15 @@ from repro.robust.degrade import FULL_QUALITY, QualityConfig
 #: decreasing in ``n``, mirroring the launch/padding amortization the
 #: engine path measures for real models.
 OVERRIDE_BATCH_ALPHA = 0.5
+
+#: Byte budget of the oracle's mapping memo.  Entries are charged the
+#: way the device caches charge them -- a grid table at its modeled
+#: allocation, up to ``MAX_GRID_BYTES`` -- but a grid keeps only its
+#: occupied slots on the host, so this bounds modeled bytes, not
+#: resident memory.  It holds the tables of every batch size and rung
+#: of a scene; the default ``MappingCache`` budget would reject the
+#: larger grids and rebuild them on every pricing forward.
+ORACLE_MEMO_BYTES = 4 * MAX_GRID_BYTES
 
 
 @dataclass
@@ -92,6 +114,10 @@ class LatencyOracle:
         #: spec -> MappingCache — the per-device persistent mapping
         #: cache of the steady-state serving path
         self._mapcaches: dict = {}
+        #: host-side memo of cold mapping work, shared by every pricing
+        #: forward (specs, dtypes, temperatures, rungs); it models
+        #: nothing on the device — cold frames still pay cold records
+        self._memo = MappingCache(max_bytes=ORACLE_MEMO_BYTES, metric="oracle.memo")
 
     def _entry(self, key: str):
         for e in MODEL_ZOO:
@@ -116,6 +142,26 @@ class LatencyOracle:
                 config=replace(self.engine.config, dtype=quality.dtype)
             )
         return engine
+
+    def _price(self, model_key: str, x, spec: GPUSpec, warm: bool, quality) -> float:
+        """Modeled latency of one price-only forward of ``x``.
+
+        ``warm`` first runs the cold frame through the device's mapping
+        cache, then prices a second frame of the same scene through it.
+        """
+        model = self._models[model_key]
+        engine = self._engine_for(quality)
+        cache = self.mapcache(spec) if warm else None
+        if warm:
+            model(x, self._context(engine, spec, cache))
+        ctx = self._context(engine, spec, cache)
+        model(x, ctx)
+        return ctx.profile.total_time
+
+    def _context(self, engine: BaseEngine, spec: GPUSpec, cache) -> ExecutionContext:
+        return ExecutionContext(
+            engine=engine, device=spec, mapcache=cache, price_memo=self._memo
+        )
 
     def _input_for(self, model_key: str, quality: QualityConfig):
         """The model's fixed sample input at the rung's voxel scale."""
@@ -163,24 +209,8 @@ class LatencyOracle:
                 self._inputs[model_key] = entry.make_dataset().sample_tensor(
                     seed=self.seed, scale=self.scale
                 )
-            model = self._models[model_key]
             x = self._input_for(model_key, quality)
-            engine = self._engine_for(quality)
-            if warm:
-                # populate the device cache (the cold frame), then price
-                # a second frame of the same scene through it
-                cache = self.mapcache(spec)
-                warmup = ExecutionContext(
-                    engine=engine, device=spec, mapcache=cache
-                )
-                model(x, warmup)
-                ctx = ExecutionContext(
-                    engine=engine, device=spec, mapcache=cache
-                )
-            else:
-                ctx = ExecutionContext(engine=engine, device=spec)
-            model(x, ctx)
-            self._latency[memo_key] = ctx.profile.total_time
+            self._latency[memo_key] = self._price(model_key, x, spec, warm, quality)
         return self._latency[memo_key]
 
     def batch_latency(
@@ -223,23 +253,10 @@ class LatencyOracle:
             # ensure the model and its fixed sample input exist (and
             # price the n=1 anchor while we are at it)
             self.base_latency(model_key, spec, warm=warm, quality=quality)
-            model = self._models[model_key]
-            x = self._input_for(model_key, quality)
-            xb = batch_collate([x] * n)
-            engine = self._engine_for(quality)
-            if warm:
-                cache = self.mapcache(spec)
-                warmup = ExecutionContext(
-                    engine=engine, device=spec, mapcache=cache
-                )
-                model(xb, warmup)
-                ctx = ExecutionContext(
-                    engine=engine, device=spec, mapcache=cache
-                )
-            else:
-                ctx = ExecutionContext(engine=engine, device=spec)
-            model(xb, ctx)
-            self._batch_latency[memo_key] = ctx.profile.total_time
+            xb = batch_collate([self._input_for(model_key, quality)] * n)
+            self._batch_latency[memo_key] = self._price(
+                model_key, xb, spec, warm, quality
+            )
         return self._batch_latency[memo_key]
 
     def mean_latency(self, model_keys, specs) -> float:

@@ -257,3 +257,52 @@ class TestDevicePricing:
         ctx = ExecutionContext(engine=eng)
         eng.convolution(x, make_weights(3, 6, 6), ctx)
         assert any("fetch_on_demand" in r.name for r in ctx.profile.records)
+
+
+class TestGridProbeMargin:
+    """The backend choice sizes a grid table with the margin the build
+    allocates, so a grid that passes the budget check always builds."""
+
+    def test_choice_sizes_the_table_the_build_allocates(self):
+        from repro.core.engine import GRID_PROBE_MARGIN, GRID_SLOT_BYTES
+        from repro.hashmap.grid_table import GridTable
+
+        coords = make_tensor(n=200, extent=40, seed=3).coords
+        table = GridTable.from_coords(coords, margin=GRID_PROBE_MARGIN)
+        engine = BaseEngine(config=EngineConfig(map_backend="grid"))
+        budget = table.volume * GRID_SLOT_BYTES
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.core.engine.MAX_GRID_BYTES", budget)
+            assert engine._choose_backend(coords) == "grid"
+            mp.setattr("repro.core.engine.MAX_GRID_BYTES", budget - 1)
+            assert engine._choose_backend(coords) == "hash"
+
+    @staticmethod
+    def _table_builds(seed: int) -> list:
+        from repro.models import MODEL_ZOO
+
+        entry = next(e for e in MODEL_ZOO if e.key == "minkunet_0.5x_kitti")
+        x = entry.make_dataset().sample_tensor(seed=seed, scale=0.15)
+        ctx = ExecutionContext(engine=TorchSparseEngine())
+        entry.make_model()(x, ctx)
+        return [
+            r.name for r in ctx.profile.records if r.name.startswith("table.build")
+        ]
+
+    @pytest.mark.parametrize("seed", [21, 36])
+    def test_scene_past_the_budget_falls_back_to_hash(self, seed):
+        # the full-resolution grid of these KITTI scenes fits the budget
+        # with a 1-voxel margin but not with the 2-voxel one the build
+        # allocates; sizing them with the smaller margin raised
+        # GridMemoryError instead of choosing a hash table
+        builds = self._table_builds(seed)
+        assert builds[0] == "table.build.s1.hash"
+
+    def test_grids_that_fit_keep_their_backend(self):
+        assert self._table_builds(7) == [
+            "table.build.s1.hash",
+            "table.build.s2.grid",
+            "table.build.s4.grid",
+            "table.build.s8.grid",
+            "table.build.s16.grid",
+        ]
