@@ -17,6 +17,7 @@ Two search refinements from the paper are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -173,6 +174,23 @@ class KernelMap:
         """Stride 1 on every axis with an all-odd kernel: the center
         offset is an identity and needs no data movement."""
         return self.stride == 1 and is_all_odd(self.kernel_size)
+
+    @cached_property
+    def center_is_identity(self) -> bool:
+        """The center offset maps input ``i`` to output ``i`` for every
+        point, so its matmul needs no gather and no indexed scatter.
+
+        Decided once per map on first use: the index arrays are only
+        ever mutated in place by fault injection, and the dataflow
+        consults this only while no injector is armed.
+        """
+        c, every = self.center_index, np.arange(self.n_in)
+        return bool(
+            c is not None
+            and self.n_out == self.n_in
+            and np.array_equal(self.in_indices[c], every)
+            and np.array_equal(self.out_indices[c], every)
+        )
 
     def clone(self) -> "KernelMap":
         """Deep copy (fresh index arrays).

@@ -68,7 +68,7 @@ def conv2d(
     ctx.profile.log(
         name, "other", cost.time, bytes_moved=cost.bytes_moved, flops=cost.flops
     )
-    return out.reshape(h_out, w_out, c_out).astype(np.float32)
+    return out.reshape(h_out, w_out, c_out).astype(np.float32, copy=False)
 
 
 def relu2d(x: np.ndarray, ctx: ExecutionContext, name: str = "dense.relu") -> np.ndarray:
